@@ -24,6 +24,7 @@ fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz '^FuzzAsmRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -run '^$$' -fuzz '^FuzzMoviExpansion$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/jsonlog -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime $(FUZZTIME)
 
 # Differential-execution checks over generated guest programs plus
 # sampling-policy determinism (see internal/check and cmd/diffcheck).
@@ -98,10 +99,13 @@ bench-smoke:
 
 # Throughput regression guard: re-measure the interpreter and fail if
 # any mode lands more than 15% below the latest recorded BENCH report.
+# The baseline is the vmbench report (one with a "current" interpreter
+# section) with the highest PR number, compared as a number: a lexical
+# sort would put BENCH_pr10 before BENCH_pr8.
 # vmbench disarms the guard itself on starved hosts (GOMAXPROCS < 2),
 # the same gate the sweep smoke test uses, because one-core shared
 # runners produce throughput noise far beyond real regression signal.
-BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_pr*.json)))
+BENCH_BASELINE ?= $(shell grep -l '"current"' BENCH_pr*.json | sort -t_ -k2.3n | tail -n 1)
 bench-guard:
 	$(GO) run ./cmd/vmbench -time 500ms -runs 2 -o - \
 		-baseline-file $(BENCH_BASELINE) -max-regress 15 >/dev/null

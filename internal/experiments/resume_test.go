@@ -33,11 +33,40 @@ func renderAll(t *testing.T, opts Options) ([]byte, int) {
 	return buf.Bytes(), r.Executions()
 }
 
+// assertJournalClean fails unless every line of the journal at path is
+// '\n'-terminated and decodes as a JournalRecord: what a resume leaves
+// behind must itself be a journal the next resume can trust.
+func assertJournalClean(t *testing.T, path, label string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := bytes.IndexByte(data, 0); i >= 0 {
+		t.Fatalf("%s: journal holds a NUL byte at %d/%d", label, i, len(data))
+	}
+	if len(data) > 0 && data[len(data)-1] != '\n' {
+		t.Fatalf("%s: journal ends in an unterminated line", label)
+	}
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var rec JournalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("%s: journal line does not decode (%v): %.80q", label, err, line)
+		}
+	}
+}
+
 // TestJournalResumeTornAtArbitraryOffsets is the crash-safety pin: a
 // run journal truncated at any byte offset — mid-record, mid-header,
 // or between the SimPoint analysis and its results — must resume to
 // byte-identical artifacts. Offsets that preserve at least one
 // complete record must also re-execute strictly less than a cold run.
+// Every offset is resumed twice: the first resume must leave a clean
+// journal, so the second executes nothing — exactly-once across
+// repeated crashes, not just one.
 func TestJournalResumeTornAtArbitraryOffsets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resume sweep is slow; skipped in -short")
@@ -87,6 +116,16 @@ func TestJournalResumeTornAtArbitraryOffsets(t *testing.T) {
 		if off == len(data) && execs != 0 {
 			t.Errorf("full journal: resumed run executed %d, want 0", execs)
 		}
+		assertJournalClean(t, path, fmt.Sprintf("offset %d/%d, first resume", off, len(data)))
+
+		again, execs := renderAll(t, resumeTestOptions(path))
+		if !bytes.Equal(again, golden) {
+			t.Fatalf("offset %d/%d: second resume's artifacts diverge from cold run", off, len(data))
+		}
+		if execs != 0 {
+			t.Errorf("offset %d/%d: second resume executed %d, want 0", off, len(data), execs)
+		}
+		assertJournalClean(t, path, fmt.Sprintf("offset %d/%d, second resume", off, len(data)))
 	}
 }
 
@@ -316,10 +355,10 @@ func TestJournalDoubleRotationKeepsBackups(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := JournalRecord{Kind: "analysis", Bench: fmt.Sprintf("run-%d", scale)}
-		if err := j.append(rec); err != nil {
+		if _, err := j.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.close(); err != nil {
+		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,90 +9,71 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/ckpt"
 )
 
-// TestStatusAutoscaleShape pins the /v1/status wire shape external
-// autoscalers consume: the autoscale block exists, carries exactly the
-// documented keys, and its numbers track the lease state machine.
-// Key-set equality (not subset) makes any rename or removal a test
-// failure — the shape is an API.
+// TestStatusAutoscaleShape pins the /v1/status wire shape now that the
+// autoscale hint block is gone: exactly "coordinator", plus "ckpt" when
+// a checkpoint store is attached. Key-set equality (not subset) makes
+// any added, renamed or removed member a test failure — the shape is an
+// API — and the coordinator block must track the lease state machine.
 func TestStatusAutoscaleShape(t *testing.T) {
-	coord := NewCoordinator(testConfig(), nil, nil)
-	ts := httptest.NewServer(NewServer(coord, nil, nil, nil).Handler())
-	defer ts.Close()
+	for _, tc := range []struct {
+		name  string
+		store *ckpt.Store
+		want  []string
+	}{
+		{"no store", nil, []string{"coordinator"}},
+		{"with store", ckpt.NewMemory(), []string{"ckpt", "coordinator"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord := NewCoordinator(testConfig(), nil, nil)
+			ts := httptest.NewServer(NewServer(coord, tc.store, nil, nil).Handler())
+			defer ts.Close()
 
-	fetch := func() map[string]json.RawMessage {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/status")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var top map[string]json.RawMessage
-		if err := json.NewDecoder(resp.Body).Decode(&top); err != nil {
-			t.Fatal(err)
-		}
-		return top
-	}
+			fetch := func() map[string]json.RawMessage {
+				t.Helper()
+				resp, err := http.Get(ts.URL + "/v1/status")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var top map[string]json.RawMessage
+				if err := json.NewDecoder(resp.Body).Decode(&top); err != nil {
+					t.Fatal(err)
+				}
+				return top
+			}
 
-	top := fetch()
-	for _, key := range []string{"coordinator", "autoscale"} {
-		if _, ok := top[key]; !ok {
-			t.Fatalf("/v1/status missing %q: %v", key, top)
-		}
-	}
+			top := fetch()
+			got := make([]string, 0, len(top))
+			for k := range top {
+				got = append(got, k)
+			}
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("/v1/status keys = %v, want %v (the shape is an API)", got, tc.want)
+			}
 
-	var auto map[string]json.RawMessage
-	if err := json.Unmarshal(top["autoscale"], &auto); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]string, 0, len(auto))
-	for k := range auto {
-		got = append(got, k)
-	}
-	sort.Strings(got)
-	want := []string{"completed", "leased", "mean_cell_seconds", "pending", "suggested_workers"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("autoscale keys = %v, want %v (the shape is an API)", got, want)
-	}
-
-	var a Autoscale
-	if err := json.Unmarshal(top["autoscale"], &a); err != nil {
-		t.Fatal(err)
-	}
-	cells := len(testConfig().Cells())
-	if a.Pending != cells || a.Leased != 0 || a.Completed != 0 {
-		t.Fatalf("fresh sweep autoscale = %+v, want %d pending", a, cells)
-	}
-	if a.SuggestedWorkers < 1 || a.SuggestedWorkers > cells {
-		t.Fatalf("suggested workers %d outside [1, %d]", a.SuggestedWorkers, cells)
-	}
-	if a.MeanCellSeconds != 0 {
-		t.Fatalf("mean duration %v before any completion", a.MeanCellSeconds)
-	}
-
-	// Drive one cell through grant → completion with a synthetic clock
-	// and watch the hints move.
-	t0 := time.Unix(1000, 0)
-	lease, _ := coord.Claim("w", t0)
-	if lease == nil {
-		t.Fatal("no lease")
-	}
-	if err := coord.Complete(lease.ID, recordsFor(lease.Cell), t0.Add(2*time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	var after Autoscale
-	if err := json.Unmarshal(fetch()["autoscale"], &after); err != nil {
-		t.Fatal(err)
-	}
-	if after.Completed != 1 || after.Pending != cells-1 {
-		t.Fatalf("after one completion: %+v", after)
-	}
-	if after.MeanCellSeconds != 2.0 {
-		t.Fatalf("mean cell seconds = %v, want 2", after.MeanCellSeconds)
-	}
-	if after.SuggestedWorkers > cells-1 {
-		t.Fatalf("suggested %d workers for %d remaining cells", after.SuggestedWorkers, cells-1)
+			// Drive one cell through grant → completion and watch the
+			// coordinator block move.
+			t0 := time.Unix(1000, 0)
+			lease, _ := coord.Claim("w", t0)
+			if lease == nil {
+				t.Fatal("no lease")
+			}
+			if err := coord.Complete(lease.ID, recordsFor(lease.Cell), t0.Add(2*time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			var st CoordStats
+			if err := json.Unmarshal(fetch()["coordinator"], &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.Cells != len(testConfig().Cells()) || st.Done != 1 || st.Claims != 1 || st.Completions != 1 {
+				t.Fatalf("after one completion: %+v", st)
+			}
+		})
 	}
 }
 

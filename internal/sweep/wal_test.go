@@ -1,12 +1,17 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/jsonlog"
 )
 
 // walCoord opens a WAL-backed coordinator for the standard test config
@@ -184,15 +189,31 @@ func TestWALRestartZeroCompleted(t *testing.T) {
 	}
 }
 
+// doneCells lists the cells a coordinator holds done, in matrix order.
+func doneCells(c *Coordinator) []Cell {
+	var out []Cell
+	for _, cell := range c.cells {
+		if c.states[cell].done {
+			out = append(out, cell)
+		}
+	}
+	return out
+}
+
 // TestWALTruncatedAtEveryByteOffset mirrors the run journal's torn-tail
 // test at the WAL layer: a coordinator crash (or a torn host write) may
 // leave the file cut at ANY byte. Every prefix must replay without
-// error into a valid state — completed cells a subset of the full run's
-// — and reopen into a working coordinator that can finish the sweep.
+// error into a valid state — exactly its complete lines, completed
+// cells a subset of the full run's — and reopen into a working
+// coordinator. Each sampled prefix is reopened twice, the first
+// incarnation killed right away: the reopen must truncate the torn tail
+// to the last complete line, and the second must restore the same
+// completion set and finish the sweep.
 func TestWALTruncatedAtEveryByteOffset(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "full.wal")
 	now := time.Unix(1000, 0)
+	scale := testConfig().Scale
 
 	c := walCoord(t, path)
 	total := len(c.cfg.Cells())
@@ -215,33 +236,62 @@ func TestWALTruncatedAtEveryByteOffset(t *testing.T) {
 		if err := os.WriteFile(cut, full[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, goodBytes, err := replayWAL(cut, testConfig().Scale)
+		st := newWALState()
+		replayed, err := jsonlog.Replay(cut, walFirst(scale), st.apply)
 		if err != nil {
 			t.Fatalf("offset %d: replay error: %v", n, err)
 		}
-		if goodBytes < 0 {
-			t.Fatalf("offset %d: rotate signal from a same-run prefix", n)
-		}
-		if goodBytes > int64(n) {
-			t.Fatalf("offset %d: goodBytes %d past file end", n, goodBytes)
+		// Every line of a real WAL is valid, so the valid prefix is
+		// exactly the complete lines: fewer means a same-run prefix was
+		// rejected (rotated) or cut short, more means a torn tail was
+		// kept.
+		good := bytes.LastIndexByte(full[:n], '\n') + 1
+		if want := bytes.Count(full[:good], []byte("\n")); replayed != want {
+			t.Fatalf("offset %d: replayed %d entries, want the %d complete lines", n, replayed, want)
 		}
 		if len(st.completed) > total {
 			t.Fatalf("offset %d: %d completed cells from a %d-cell run", n, len(st.completed), total)
 		}
 		// Reopen as a coordinator and drive the remaining cells home:
 		// every torn prefix must resume, never wedge. Replay itself is
-		// checked at every offset; the full reopen-and-finish drive runs
-		// on a stride sample plus the interesting tail region, keeping
-		// the test inside tier-1 time under -race.
+		// checked at every offset; the reopen drive runs on a stride
+		// sample plus the interesting tail region, keeping the test
+		// inside tier-1 time under -race.
 		if n%97 != 0 && n < len(full)-200 {
 			continue
 		}
-		c2, err := NewWALCoordinator(testConfig(), cut, nil, nil)
+		c1, err := NewWALCoordinator(testConfig(), cut, nil, nil)
 		if err != nil {
 			t.Fatalf("offset %d: reopen: %v", n, err)
 		}
-		if got := c2.Stats().Restored; got != len(st.completed) {
+		if got := c1.Stats().Restored; got != len(st.completed) {
 			t.Fatalf("offset %d: restored %d, replay said %d", n, got, len(st.completed))
+		}
+		restored := doneCells(c1)
+		c1.Kill()
+		// The reopen truncated the torn tail, then appended exactly its
+		// own epoch entry.
+		data, err := os.ReadFile(cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		epoch, _ := json.Marshal(walEntry{Kind: "epoch", Version: walVersion, Scale: scale, Epoch: c1.Epoch()})
+		if want := append(full[:good:good], append(epoch, '\n')...); !bytes.Equal(data, want) {
+			t.Fatalf("offset %d: reopened WAL is not the %d-byte valid prefix plus one epoch entry", n, good)
+		}
+		if _, err := os.Stat(cut + ".stale"); err == nil {
+			t.Fatalf("offset %d: a same-run prefix was rotated aside", n)
+		}
+
+		c2, err := NewWALCoordinator(testConfig(), cut, nil, nil)
+		if err != nil {
+			t.Fatalf("offset %d: second reopen: %v", n, err)
+		}
+		if got := doneCells(c2); !reflect.DeepEqual(got, restored) {
+			t.Fatalf("offset %d: second reopen restored %v, first %v", n, got, restored)
+		}
+		if c2.Epoch() != c1.Epoch()+1 {
+			t.Fatalf("offset %d: second reopen epoch %d, want %d", n, c2.Epoch(), c1.Epoch()+1)
 		}
 		for !c2.Done() {
 			completeNext(t, c2, now)
