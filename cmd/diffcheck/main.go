@@ -16,15 +16,30 @@
 //	chunks     chunk-partitioning agreement only
 //	policies   sampling-policy determinism only (no generated programs)
 //
+// The policy checks make one check.PolicyEquivalence call per
+// benchmark: every policy runs once as the reference and once per
+// selected variant — a replay always, plus the variants -ckpt, -batch,
+// and -obs add — and every variant's Result must be bit-identical to
+// the reference's, field by field.
+//
 // The -ckpt flag additionally replays every policy with the checkpoint
-// store off, cold, and warmed, requiring bit-identical results each
-// time (the cache-equivalence check).
+// store attached cold and then warmed, requiring bit-identical results
+// each time and a store that took deposits and served hits (the
+// cache-equivalence check).
 //
 // The -batch flag additionally runs the batch-invariance checks: each
-// generated program is re-run per event-batch capacity in
-// check.BatchSizes against a per-event-delivery reference, and every
-// sampling policy is replayed across the same capacities, all required
-// to be bit-identical (the batched event pipeline must be invisible).
+// generated program is re-run per event-batch capacity against a
+// one-event-per-batch reference, and every sampling policy is replayed
+// across the capacities in check.BatchSizes, all required to be
+// bit-identical (the batched event pipeline must be invisible).
+//
+// The -sweep flag additionally runs the sweep-equivalence check: a
+// distributed coordinator/worker sweep under seeded worker kills and
+// remote-tier network faults must produce artifacts and a merged
+// journal byte-identical to the sequential run, with exactly-once
+// accounting. -sweep-workers narrows the worker-count matrix
+// (comma-separated); check.SweepOptions derives the seeds and required
+// fault kinds of a narrowed matrix from it.
 //
 // The -faults flag additionally runs the fault-equivalence check: the
 // experiment runner is driven under several seeded fault-injection
@@ -159,39 +174,26 @@ func main() {
 		opts := core.Options{Scale: *scale}
 		for _, b := range benches {
 			b = strings.TrimSpace(b)
-			if err := check.PolicyDeterminism(b, opts, nil); err != nil {
+			variants := check.ReplayVariants()
+			if *ckpt {
+				variants = append(variants, check.CkptVariants()...)
+			}
+			if *batch {
+				variants = append(variants, check.BatchVariants()...)
+			}
+			if *obsf {
+				variants = append(variants, check.ObsVariants()...)
+			}
+			if err := check.PolicyEquivalence(b, opts, nil, variants); err != nil {
 				fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
 				os.Exit(1)
 			}
 			if *verb {
-				fmt.Printf("policies on %s: deterministic at scale %d\n", b, *scale)
-			}
-			if *ckpt {
-				if err := check.CheckpointEquivalence(b, opts, nil); err != nil {
-					fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
-					os.Exit(1)
+				names := make([]string, len(variants))
+				for i, v := range variants {
+					names[i] = v.Name
 				}
-				if *verb {
-					fmt.Printf("checkpoint equivalence on %s: ok at scale %d\n", b, *scale)
-				}
-			}
-			if *batch {
-				if err := check.PolicyBatchInvariance(b, opts, nil); err != nil {
-					fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
-					os.Exit(1)
-				}
-				if *verb {
-					fmt.Printf("policy batch invariance on %s: ok at scale %d\n", b, *scale)
-				}
-			}
-			if *obsf {
-				if err := check.ObsInvariance(b, opts, nil); err != nil {
-					fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
-					os.Exit(1)
-				}
-				if *verb {
-					fmt.Printf("obs invariance on %s: ok at scale %d\n", b, *scale)
-				}
+				fmt.Printf("policies on %s: identical across %s at scale %d\n", b, strings.Join(names, ", "), *scale)
 			}
 		}
 		fmt.Printf("diffcheck: policy determinism ok (%s at scale %d)\n",
@@ -239,7 +241,6 @@ func main() {
 			},
 		}
 		if *sweepWorkers != "" {
-			max := 0
 			for _, s := range strings.Split(*sweepWorkers, ",") {
 				var w int
 				if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &w); err != nil || w < 1 {
@@ -247,22 +248,6 @@ func main() {
 					os.Exit(2)
 				}
 				so.Workers = append(so.Workers, w)
-				if w > max {
-					max = w
-				}
-			}
-			// In-flight GET corruption needs a cross-worker checkpoint
-			// hit, which small worker counts rarely produce; the kind has
-			// a dedicated unit pin in internal/sweep, so only require it
-			// here when the matrix makes hits likely.
-			if max < 4 {
-				kinds := so.RequireKinds[:0]
-				for _, k := range so.RequireKinds {
-					if k != faults.NetCorrupt {
-						kinds = append(kinds, k)
-					}
-				}
-				so.RequireKinds = kinds
 			}
 		}
 		if *verb {

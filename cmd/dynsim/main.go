@@ -152,7 +152,7 @@ func main() {
 	opts := core.Options{Scale: *scale, CkptStride: *ckptStride}
 
 	// Observability is opt-in and inert: results are bit-identical with
-	// or without it (check.ObsInvariance pins this).
+	// or without it (check.ObsVariants pins this).
 	var reg *obs.Registry
 	var trace *obs.TransitionTrace
 	if *metricsAddr != "" {

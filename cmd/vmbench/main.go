@@ -106,7 +106,7 @@ func loadBaseline(path string) modes {
 // for fast mode). The machine is built and loaded once and rewound to
 // its boot snapshot whenever the guest completes, so the timed loop
 // measures the interpreter rather than allocator and loader churn.
-func measureVM(d time.Duration, makeSink func() vm.Sink) float64 {
+func measureVM(d time.Duration, makeSink func() vm.BatchSink) float64 {
 	spec, err := workload.ByName("gzip")
 	if err != nil {
 		fatal(err)
@@ -115,7 +115,7 @@ func measureVM(d time.Duration, makeSink func() vm.Sink) float64 {
 	m := vm.New(vm.Config{})
 	m.Load(img)
 	boot := m.Snapshot()
-	var sink vm.Sink
+	var sink vm.BatchSink
 	if makeSink != nil {
 		sink = makeSink()
 	}
@@ -243,11 +243,11 @@ func main() {
 	rep.Current.Fast = bestOf(*runs, func() float64 { return measureVM(*per, nil) })
 	fmt.Fprintln(os.Stderr, "vmbench: event mode (CountingSink)...")
 	rep.Current.Event = bestOf(*runs, func() float64 {
-		return measureVM(*per, func() vm.Sink { return &vm.CountingSink{} })
+		return measureVM(*per, func() vm.BatchSink { return &vm.CountingSink{} })
 	})
 	fmt.Fprintln(os.Stderr, "vmbench: detailed timing...")
 	rep.Current.Detail = bestOf(*runs, func() float64 {
-		return measureVM(*per, func() vm.Sink { return timing.NewCore(timing.DefaultConfig()) })
+		return measureVM(*per, func() vm.BatchSink { return timing.NewCore(timing.DefaultConfig()) })
 	})
 	fmt.Fprintln(os.Stderr, "vmbench: event mode, obs detached vs attached...")
 	rep.EventObsOff = bestOf(*runs, func() float64 { return measureEventObs(*per, false) })

@@ -169,7 +169,7 @@ func ExploreWith(o Options) error {
 			refJournal = res.journal
 		} else if !bytes.Equal(res.journal, refJournal) {
 			return fmt.Errorf("chaos: schedule %d/%d: merged journal diverges across schedules [%s]\n%s",
-				i+1, o.Schedules, inj, check.DiffSummary(refJournal, res.journal))
+				i+1, o.Schedules, inj, check.DiffSummary("schedule 1", fmt.Sprintf("schedule %d", i+1), refJournal, res.journal))
 		}
 		if err := res.nonVacuous(plan, inj); err != nil {
 			return fmt.Errorf("chaos: schedule %d/%d: %w", i+1, o.Schedules, err)
@@ -519,7 +519,7 @@ supervise:
 	}
 	if !bytes.Equal(buf.Bytes(), golden) {
 		return nil, fmt.Errorf("artifacts diverge from sequential run\n%s",
-			check.DiffSummary(golden, buf.Bytes()))
+			check.DiffSummary("sequential", "merged journal", golden, buf.Bytes()))
 	}
 	return res, nil
 }

@@ -3,27 +3,32 @@
 //
 // Dynamic Sampling's premise is that the fast functional VM and the
 // event-generating timing path execute the same guest program with
-// identical architectural outcomes, and that snapshot/restore and
-// replayed sessions reproduce runs bit-for-bit. This package proves
-// those equivalences continuously instead of assuming them:
+// identical architectural outcomes, that snapshot/restore and replayed
+// sessions reproduce runs bit-for-bit, and that host-side mechanisms
+// (event batching, checkpoints, observability) never reach a result.
+// This package proves those equivalences continuously instead of
+// assuming them, through one engine per comparison shape:
 //
 //   - Generate builds seeded random guest programs exercising branches,
 //     paging, self-modifying code, syscalls, and device I/O;
-//   - Lockstep runs one image through two machines — fast mode (nil
-//     Sink) vs event-generating mode — in bounded chunks and compares
-//     PC, registers, memory digest, devices, and vm.Stats at every sync
-//     point, also validating the event stream against the internal
-//     statistics;
-//   - SnapshotRoundTrip snapshots mid-run, restores into a fresh
-//     machine, resumes, and requires the final architectural state to
-//     be identical to an uninterrupted run (and the snapshot itself to
-//     be non-perturbing);
-//   - ReplayDeterminism and ChunkAgreement require runs to be
-//     reproducible and independent of how execution is partitioned
-//     into Run calls;
-//   - PolicyDeterminism replays full sampling sessions and requires
-//     every policy (FullTiming, SMARTS, SimPoint, Dynamic) to produce
-//     bit-identical Results.
+//   - one chunk-stepped engine drives a reference machine and variant
+//     machines in bounded chunks and compares PC, registers, memory
+//     digest, devices, and vm.Stats at every sync point, validating
+//     every event-mode variant's event stream against its statistics
+//     and the reference's event counts. Lockstep (fast vs event mode),
+//     ReplayDeterminism (a second identical run), and BatchInvariance
+//     (one event per batch vs every capacity in BatchSizes) are variant
+//     lists over it; ChunkAgreement requires the final state to be
+//     independent of how execution is partitioned into Run calls;
+//   - SnapshotRoundTrip and SerializedRoundTrip share one body:
+//     snapshot mid-run (through WriteTo/ReadSnapshot for the latter),
+//     restore into a fresh machine, resume, and require the state to
+//     match the donor and an uninterrupted run;
+//   - PolicyEquivalence replays full sampling sessions for every policy
+//     (FullTiming, SMARTS, SimPoint, Dynamic, Stratified, RankedSet)
+//     once per PolicyVariant — replay, batch capacity, obs attached,
+//     checkpoint store cold and warm — and requires every Result to be
+//     bit-identical to the reference run's, field by field.
 //
 // A reported Divergence carries the first differing field and a
 // disassembled window around the PC where the runs disagreed, so a
@@ -56,10 +61,12 @@ type Options struct {
 	// injection tests disable it to demonstrate purely architectural
 	// divergences.
 	CompareHostStats bool
-	// Hook, when non-nil, runs after every lockstep sync point. Tests
-	// use it to inject faults into one machine and prove the differ
-	// reports them.
-	Hook func(step int, fast, event *vm.Machine)
+	// Hook, when non-nil, runs after every sync point of the
+	// chunk-stepped checks (Lockstep, ReplayDeterminism,
+	// BatchInvariance) with the reference machine and the first
+	// variant. Tests use it to inject faults into one machine and prove
+	// the differ reports them.
+	Hook func(step int, ref, variant *vm.Machine)
 }
 
 // DefaultOptions returns the standard configuration for checking

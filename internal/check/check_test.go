@@ -69,7 +69,7 @@ func TestGeneratedProgramsExerciseSubsystems(t *testing.T) {
 		prog := Generate(seed)
 		m := vm.New(GenVMConfig())
 		m.Load(prog.Image)
-		if _, err := runToHalt(m, 509, 2<<20, seed); err != nil {
+		if _, err := runToHalt(prog, DefaultOptions(), m); err != nil {
 			t.Fatal(err)
 		}
 		s := m.Stats()
@@ -208,14 +208,14 @@ func TestLockstepReportsMissedTCInvalidation(t *testing.T) {
 
 func TestPolicyDeterminism(t *testing.T) {
 	t.Parallel()
-	if err := PolicyDeterminism("gzip", core.Options{Scale: 50_000}, nil); err != nil {
+	if err := PolicyEquivalence("gzip", core.Options{Scale: 50_000}, nil, ReplayVariants()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCheckpointEquivalencePolicies(t *testing.T) {
 	t.Parallel()
-	if err := CheckpointEquivalence("gzip", core.Options{Scale: 50_000}, nil); err != nil {
+	if err := PolicyEquivalence("gzip", core.Options{Scale: 50_000}, nil, CkptVariants()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -250,7 +250,7 @@ func TestBatchInvarianceManySeeds(t *testing.T) {
 
 func TestPolicyBatchInvariance(t *testing.T) {
 	t.Parallel()
-	if err := PolicyBatchInvariance("gzip", core.Options{Scale: 50_000}, nil); err != nil {
+	if err := PolicyEquivalence("gzip", core.Options{Scale: 50_000}, nil, BatchVariants()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/experiments"
@@ -115,7 +116,7 @@ func FaultEquivalence(o FaultOptions) error {
 		}
 		if !bytes.Equal(got, golden) {
 			return fmt.Errorf("fault-equivalence: seed %d: artifacts diverge from fault-free run [%s]\n%s",
-				seed, inj, diffSummary(golden, got))
+				seed, inj, DiffSummary("fault-free", "faulted", golden, got))
 		}
 		for k, n := range inj.Fired() {
 			fired[k] += n
@@ -146,24 +147,23 @@ func renderWith(opts experiments.Options) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DiffSummary reports the first line where two rendered artifacts
-// diverge, for actionable failure messages. Exported for the chaos
-// harness, which checks the same byte-identity invariants.
-func DiffSummary(a, b []byte) string { return diffSummary(a, b) }
-
-// diffSummary reports the first line where two rendered artifacts
-// diverge, for actionable failure messages.
-func diffSummary(a, b []byte) string {
-	al := bytes.Split(a, []byte("\n"))
-	bl := bytes.Split(b, []byte("\n"))
-	n := len(al)
-	if len(bl) < n {
-		n = len(bl)
+// DiffSummary reports the first line where two renderings diverge,
+// each side under its label, for actionable failure messages; a side
+// that ends first shows <EOF>. Exported for the chaos harness, which
+// checks the same byte-identity invariants.
+func DiffSummary(labelA, labelB string, a, b []byte) string {
+	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	line := func(ls [][]byte, i int) string {
+		if i < len(ls) {
+			return strconv.Quote(string(ls[i]))
+		}
+		return "<EOF>"
 	}
-	for i := 0; i < n; i++ {
-		if !bytes.Equal(al[i], bl[i]) {
-			return fmt.Sprintf("first diff at line %d:\n  fault-free: %q\n  faulted:    %q", i+1, al[i], bl[i])
+	w := max(len(labelA), len(labelB)) + 1
+	for i := 0; i < len(al) || i < len(bl); i++ {
+		if av, bv := line(al, i), line(bl, i); av != bv {
+			return fmt.Sprintf("first diff at line %d:\n  %-*s %s\n  %-*s %s", i+1, w, labelA+":", av, w, labelB+":", bv)
 		}
 	}
-	return fmt.Sprintf("line counts differ: fault-free %d vs faulted %d", len(al), len(bl))
+	return "renderings are identical"
 }

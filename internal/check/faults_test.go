@@ -32,3 +32,21 @@ func TestFaultEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDiffSummary pins the labelled first-difference report the
+// byte-identity harnesses print, including a side that ends first.
+func TestDiffSummary(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		a, b string
+		want string
+	}{
+		{"x\ny\n", "x\nz\n", "first diff at line 2:\n  plain:        \"y\"\n  instrumented: \"z\""},
+		{"x", "x\ny", "first diff at line 2:\n  plain:        <EOF>\n  instrumented: \"y\""},
+		{"x\ny", "x", "first diff at line 2:\n  plain:        \"y\"\n  instrumented: <EOF>"},
+	} {
+		if got := DiffSummary("plain", "instrumented", []byte(tc.a), []byte(tc.b)); got != tc.want {
+			t.Errorf("DiffSummary(%q, %q) =\n%s\nwant\n%s", tc.a, tc.b, got, tc.want)
+		}
+	}
+}

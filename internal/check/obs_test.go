@@ -7,7 +7,7 @@ import (
 )
 
 func TestObsInvariance(t *testing.T) {
-	if err := ObsInvariance("gzip", core.Options{Scale: 100_000}, nil); err != nil {
+	if err := PolicyEquivalence("gzip", core.Options{Scale: 100_000}, nil, ObsVariants()); err != nil {
 		t.Fatal(err)
 	}
 }

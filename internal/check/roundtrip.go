@@ -1,98 +1,111 @@
 package check
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/vm"
 )
 
-// runToHalt drives m in chunks until it halts, returning instructions
-// executed; errors if the budget is exhausted first.
-func runToHalt(m *vm.Machine, chunk, budget uint64, seed uint64) (uint64, error) {
-	var total uint64
-	for !m.Halted() {
-		n := m.Run(chunk, nil)
-		total += n
-		if n == 0 && !m.Halted() {
-			return total, fmt.Errorf("check: run stalled at instr %d (seed=%d)", total, seed)
-		}
-		if total > budget {
-			return total, fmt.Errorf("check: program did not halt within %d instructions (seed=%d)", budget, seed)
-		}
-	}
-	return total, nil
+// SnapshotRoundTrip checks the VM's snapshot/restore machinery against
+// an uninterrupted run, through the in-memory snapshot (see roundTrip).
+// Donor-vs-restored comparisons use architectural state and
+// partition-insensitive statistics: the VM documents that
+// translation-cache and instruction-TLB bookkeeping may differ after an
+// in-memory restore (the DBT retranslates), and the checker enforces
+// that *only* those may.
+func SnapshotRoundTrip(prog *Program, o Options) (*Divergence, error) {
+	return roundTrip("snapshot-roundtrip", prog, o, false)
 }
 
-// SnapshotRoundTrip checks the VM's snapshot/restore machinery against
-// an uninterrupted run:
+// SerializedRoundTrip checks the checkpoint store's persistence path:
+// machine state must survive serialization bit-for-bit. It is the
+// strict sibling of SnapshotRoundTrip — the snapshot passes through
+// WriteTo / ReadSnapshot, and because a serialized snapshot captures
+// the translation-cache block set, the donor-vs-restored comparisons
+// include the full statistics record (translation-cache and TLB
+// counters included), not the partition-normalised subset.
+func SerializedRoundTrip(prog *Program, o Options) (*Divergence, error) {
+	return roundTrip("serialized-roundtrip", prog, o, true)
+}
+
+// roundTrip is the body both round-trip checks share:
 //
 //  1. an uninterrupted machine runs prog to completion;
-//  2. a second machine runs halfway, snapshots, and continues — its
-//     final state must match (taking a snapshot must not perturb the
-//     guest);
+//  2. a donor machine runs halfway, snapshots (through WriteTo /
+//     ReadSnapshot when serialize is set), and continues — its final
+//     state must match the uninterrupted run (taking a snapshot must
+//     not perturb the guest);
 //  3. the snapshot is restored into a *fresh* machine whose state right
-//     after the restore must match the snapshot point bit-for-bit, and
-//     whose resumed run must reach the same final state.
+//     after the restore must match the donor's at the snapshot point,
+//     and whose resumed run, with the donor's partitioning, must reach
+//     the donor's final state and, architecturally, the uninterrupted
+//     run's.
 //
-// Comparisons use architectural state and partition-insensitive
-// statistics: the VM documents that translation-cache and
-// instruction-TLB bookkeeping may differ after a restore (the DBT
-// retranslates), and the checker enforces that *only* those may.
-func SnapshotRoundTrip(prog *Program, o Options) (*Divergence, error) {
+// Host statistics enter the donor-vs-restored comparisons only when
+// serialize is set.
+func roundTrip(check string, prog *Program, o Options, serialize bool) (*Divergence, error) {
 	o.setDefaults()
-
 	report := func(m *vm.Machine, step int, instr uint64, field, av, bv string) *Divergence {
 		return &Divergence{
-			Check: "snapshot-roundtrip", Seed: prog.Seed, Step: step, Instr: instr,
+			Check: check, Seed: prog.Seed, Step: step, Instr: instr,
 			Field: field, A: av, B: bv,
 			Window: DisasmWindow(m, m.PC(), 6, 6),
 		}
 	}
 
-	// 1: uninterrupted reference run.
+	// Uninterrupted reference (its partitioning differs from the donor's,
+	// so it is only comparable architecturally).
 	ref := vm.New(o.VM)
 	ref.Load(prog.Image)
-	total, err := runToHalt(ref, o.Chunk, o.MaxInstr, prog.Seed)
+	total, err := runToHalt(prog, o, ref)
 	if err != nil {
 		return nil, err
 	}
 	final := capture(ref, false)
 
-	// 2: snapshot at roughly the midpoint, then continue.
-	snapAt := total / 2
-	mid := vm.New(o.VM)
-	mid.Load(prog.Image)
-	var executed uint64
-	for executed < snapAt && !mid.Halted() {
-		n := o.Chunk
-		if executed+n > snapAt {
-			n = snapAt - executed
-		}
-		executed += mid.Run(n, nil)
-	}
-	snap := mid.Snapshot()
-	atSnap := capture(mid, false)
-
-	if _, err := runToHalt(mid, o.Chunk, o.MaxInstr, prog.Seed); err != nil {
+	// Donor: run halfway, snapshot, continue.
+	donor := newLane("donor", prog, o.VM, false)
+	_, executed, err := stepped(check, prog, o, total/2, donor)
+	if err != nil {
 		return nil, err
 	}
-	if field, av, bv, ok := capture(mid, false).diff(final); !ok {
-		return report(mid, 1, executed, "snapshot perturbed the run: "+field, av, bv), nil
+	snap := donor.m.Snapshot()
+	if serialize {
+		var buf bytes.Buffer
+		if _, err := snap.WriteTo(&buf); err != nil {
+			return nil, fmt.Errorf("check: serialize failed (seed=%d): %v", prog.Seed, err)
+		}
+		if snap, err = vm.ReadSnapshot(&buf); err != nil {
+			return nil, fmt.Errorf("check: deserialize failed (seed=%d): %v", prog.Seed, err)
+		}
+	}
+	atSnap := capture(donor.m, serialize)
+	if _, err := runToHalt(prog, o, donor.m); err != nil {
+		return nil, err
+	}
+	donorFinal := capture(donor.m, serialize)
+	if field, av, bv, ok := capture(donor.m, false).diff(final); !ok {
+		return report(donor.m, 1, executed, "snapshot perturbed the run: "+field, av, bv), nil
 	}
 
-	// 3: restore into a fresh machine and resume.
+	// Fresh machine from the snapshot: exact at the snapshot point,
+	// exact after resuming with the donor's partitioning.
 	fresh := vm.New(o.VM)
 	if err := fresh.Restore(snap); err != nil {
 		return nil, fmt.Errorf("check: restore failed (seed=%d): %v", prog.Seed, err)
 	}
-	if field, av, bv, ok := capture(fresh, false).diff(atSnap); !ok {
+	if field, av, bv, ok := capture(fresh, serialize).diff(atSnap); !ok {
 		return report(fresh, 2, executed, "state after restore: "+field, av, bv), nil
 	}
-	if _, err := runToHalt(fresh, o.Chunk, o.MaxInstr, prog.Seed); err != nil {
+	if _, err := runToHalt(prog, o, fresh); err != nil {
 		return nil, err
 	}
+	if field, av, bv, ok := capture(fresh, serialize).diff(donorFinal); !ok {
+		return report(fresh, 3, executed, "resumed run diverged from the donor: "+field, av, bv), nil
+	}
 	if field, av, bv, ok := capture(fresh, false).diff(final); !ok {
-		return report(fresh, 3, executed, "resumed run diverged: "+field, av, bv), nil
+		return report(fresh, 4, executed, "resumed run diverged from uninterrupted run: "+field, av, bv), nil
 	}
 	return nil, nil
 }

@@ -148,25 +148,6 @@ func smpFingerprint(guests []smpGuest, quantum uint64, sequential bool) (string,
 	return b.String(), nil
 }
 
-// firstDiffLine locates the first differing line of two renderings for
-// an actionable report.
-func firstDiffLine(a, b string) (int, string, string) {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) || i < len(bl); i++ {
-		av, bv := "<EOF>", "<EOF>"
-		if i < len(al) {
-			av = al[i]
-		}
-		if i < len(bl) {
-			bv = bl[i]
-		}
-		if av != bv {
-			return i + 1, av, bv
-		}
-	}
-	return 0, "", ""
-}
-
 // SMPEquivalence pins the parallel SMP scheduler's whole contract: for
 // every configured guest count and rendezvous quantum, the parallel
 // barrier schedule must produce byte-identical statistics, core
@@ -209,10 +190,9 @@ func SMPEquivalence(o SMPOptions) error {
 						count, quantum, procs, err)
 				}
 				if got != golden {
-					line, av, bv := firstDiffLine(golden, got)
 					return fmt.Errorf("smp-equivalence: parallel schedule diverged from sequential "+
-						"(guests=%d quantum=%d GOMAXPROCS=%d), first difference at line %d:\n  sequential: %s\n  parallel:   %s",
-						count, quantum, procs, line, av, bv)
+						"(guests=%d quantum=%d GOMAXPROCS=%d), %s",
+						count, quantum, procs, DiffSummary("sequential", "parallel", []byte(golden), []byte(got)))
 				}
 				if o.Progress != nil {
 					fmt.Fprintf(o.Progress, "smp-equivalence: guests=%d quantum=%d procs=%d ok (%d bytes)\n",

@@ -2,6 +2,7 @@ package check
 
 import (
 	"flag"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,14 +18,14 @@ var sweepWorkers = flag.String("sweep-workers", "", "comma-separated worker coun
 // counts and injector seeds covering mid-lease worker kills and remote
 // checkpoint-tier outages/corruption, the merged journal and the
 // rendered artifacts must be byte-identical to the sequential
-// single-process run, with exactly-once cell accounting.
+// single-process run, with exactly-once cell accounting. SweepOptions
+// derives the seeds and required kinds of a narrowed matrix.
 func TestSweepEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep-equivalence matrix is slow; skipped in -short")
 	}
 	o := SweepOptions{
 		Workers: []int{2, 4},
-		Seeds:   []uint64{1, 2},
 		RequireKinds: []faults.Kind{
 			faults.WorkerKill,
 			faults.NetGet,
@@ -41,31 +42,36 @@ func TestSweepEquivalence(t *testing.T) {
 			}
 			o.Workers = append(o.Workers, w)
 		}
-		// A narrowed matrix sees fewer injector draws, so widen the seed
-		// set to keep the required fault kinds non-vacuous.
-		o.Seeds = []uint64{1, 2, 3, 4}
-		// Corrupting a remote GET body needs a cross-worker checkpoint
-		// hit, which 2-worker schedules rarely produce before the
-		// injected put failures switch the remote tier off; the kind
-		// keeps its dedicated pin in TestRemoteTierFaultMatrix. Require
-		// it only when the matrix has enough workers to make hits likely.
-		max := 0
-		for _, w := range o.Workers {
-			if w > max {
-				max = w
-			}
-		}
-		if max < 4 {
-			kinds := o.RequireKinds[:0]
-			for _, k := range o.RequireKinds {
-				if k != faults.NetCorrupt {
-					kinds = append(kinds, k)
-				}
-			}
-			o.RequireKinds = kinds
-		}
 	}
 	if err := SweepEquivalence(o); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSweepOptionsNarrowedMatrix pins the one place the narrowed-matrix
+// rule lives: a single worker count widens the seeds, and a matrix with
+// no worker count of 4 or more stops requiring NetCorrupt, without
+// touching the caller's kind list.
+func TestSweepOptionsNarrowedMatrix(t *testing.T) {
+	t.Parallel()
+	kinds := []faults.Kind{faults.WorkerKill, faults.NetCorrupt}
+	for _, tc := range []struct {
+		workers   []int
+		seeds     []uint64
+		wantKinds []faults.Kind
+	}{
+		{nil, []uint64{1, 2}, kinds},
+		{[]int{2}, []uint64{1, 2, 3, 4}, []faults.Kind{faults.WorkerKill}},
+		{[]int{4}, []uint64{1, 2, 3, 4}, kinds},
+		{[]int{2, 3}, []uint64{1, 2}, []faults.Kind{faults.WorkerKill}},
+	} {
+		o := SweepOptions{Workers: tc.workers, RequireKinds: kinds}
+		o.setDefaults()
+		if !slices.Equal(o.Seeds, tc.seeds) || !slices.Equal(o.RequireKinds, tc.wantKinds) {
+			t.Errorf("workers %v: seeds %v kinds %v, want %v %v", tc.workers, o.Seeds, o.RequireKinds, tc.seeds, tc.wantKinds)
+		}
+	}
+	if !slices.Equal(kinds, []faults.Kind{faults.WorkerKill, faults.NetCorrupt}) {
+		t.Errorf("setDefaults modified the caller's RequireKinds: %v", kinds)
 	}
 }

@@ -4,7 +4,7 @@ package core
 // accounting and the mode-transition trace. Everything here observes —
 // reads machine statistics and the wall clock — and never feeds back
 // into simulation state or the cost meter, so results are bit-identical
-// with obs attached or not (check.ObsInvariance pins this). The VM's
+// with obs attached or not (check.ObsVariants pins this). The VM's
 // hot loop is untouched: per-mode statistics come from diffing
 // Machine.Stats() around each Run call, which the sessions already do
 // for the sampling policies.
@@ -143,7 +143,7 @@ func (so *sessionObs) restore(dur time.Duration, n uint64) {
 // runObserved wraps one machine.Run call in mode with observation and
 // accounts the executed instructions. With obs detached it reduces to
 // the bare Run — one nil check of overhead.
-func (s *Session) runObserved(mode hostcost.Mode, n uint64, sink vm.Sink) uint64 {
+func (s *Session) runObserved(mode hostcost.Mode, n uint64, sink vm.BatchSink) uint64 {
 	if s.ob == nil {
 		ex := s.machine.Run(n, sink)
 		s.executed += ex

@@ -53,7 +53,7 @@ type Options struct {
 	// Obs mirrors execution into a metrics registry (per-mode
 	// instruction/stat/wall-clock counters, checkpoint restore timings,
 	// host-cost charges). Purely observational: simulation results are
-	// bit-identical with it attached or nil (check.ObsInvariance).
+	// bit-identical with it attached or nil (check.ObsVariants).
 	Obs *obs.Registry
 	// Trace records every execution-mode transition (fast↔event↔detail)
 	// with instruction position, trigger-statistic deltas and wall-clock
@@ -352,7 +352,7 @@ func (s *Session) RunTimed(n uint64) (ipc float64, executed uint64) {
 
 // RunProfile executes up to n instructions delivering events to a
 // caller-supplied profiler (charged at BBV-profiling cost).
-func (s *Session) RunProfile(n uint64, sink vm.Sink) uint64 {
+func (s *Session) RunProfile(n uint64, sink vm.BatchSink) uint64 {
 	if s.stopped() {
 		return 0
 	}
@@ -366,7 +366,7 @@ func (s *Session) RunProfile(n uint64, sink vm.Sink) uint64 {
 
 // RunEvents executes up to n instructions delivering events to an
 // arbitrary sink at plain event-generation cost (used by diagnostics).
-func (s *Session) RunEvents(n uint64, sink vm.Sink) uint64 {
+func (s *Session) RunEvents(n uint64, sink vm.BatchSink) uint64 {
 	if s.stopped() {
 		return 0
 	}

@@ -52,8 +52,8 @@ func TestSessionModesCharged(t *testing.T) {
 	if ex != 1000 || ipc <= 0 {
 		t.Fatalf("timed: ipc=%v ex=%d", ipc, ex)
 	}
-	s.RunEvents(500, vm.SinkFunc(func(*vm.Event) {}))
-	s.RunProfile(500, vm.SinkFunc(func(*vm.Event) {}))
+	s.RunEvents(500, vm.BatchFunc(func([]vm.Event) {}))
+	s.RunProfile(500, vm.BatchFunc(func([]vm.Event) {}))
 	rep := s.Meter().Report(s.Scale())
 	wantByMode := map[hostcost.Mode]uint64{
 		hostcost.Fast:       1000,

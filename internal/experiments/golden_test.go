@@ -15,7 +15,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 
 // TestGolden locks down the rendered experiment artefacts at a small
 // fixed scale and benchmark subset. The sampling pipeline is
-// deterministic end to end (internal/check.PolicyDeterminism enforces
+// deterministic end to end (internal/check.ReplayVariants enforces
 // it), so every byte of these renders is reproducible; any diff here is
 // a behaviour change that must be reviewed, then accepted with
 //

@@ -13,8 +13,9 @@
 //     nil-safe (methods on a nil *Registry, *Counter, *Gauge,
 //     *Histogram, or *TransitionTrace are no-ops), so instrumented code
 //     needs no "if enabled" branches and the obs-off path costs one nil
-//     check. check.ObsInvariance pins that rendered artifacts are
-//     byte-identical with obs on or off.
+//     check. check.ObsArtifactInvariance pins that rendered artifacts
+//     are byte-identical with obs on or off, and check.ObsVariants that
+//     every policy's Result is bit-identical.
 //   - Cheap hot path: metric *lookup* (name → handle) takes a mutex and
 //     is done once, at session/store construction; metric *updates* are
 //     single atomic operations on the cached handles.

@@ -110,7 +110,7 @@ func (s *System) runParallel(n uint64, timed bool) {
 			wg.Add(1)
 			go func(i int, g *Guest, q uint64) {
 				defer wg.Done()
-				var sink vm.Sink
+				var sink vm.BatchSink
 				if timed {
 					g.caps[par].reset()
 					sink = &g.caps[par]

@@ -212,7 +212,7 @@ func (s *System) runSequential(n uint64, timed bool) {
 			if q > remaining[i] {
 				q = remaining[i]
 			}
-			var sink vm.Sink
+			var sink vm.BatchSink
 			if timed {
 				sink = g.Core
 			}

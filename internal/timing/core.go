@@ -416,9 +416,9 @@ func (c *Core) OnEvent(ev *vm.Event) {
 // modelled. This is what SMARTS does between sampling units.
 type warmSink struct{ c *Core }
 
-// WarmSink returns a vm.Sink that performs functional warming only.
-// The returned sink also implements vm.BatchSink for batched delivery.
-func (c *Core) WarmSink() vm.Sink { return warmSink{c} }
+// WarmSink returns a vm.BatchSink that performs functional warming
+// only.
+func (c *Core) WarmSink() vm.BatchSink { return warmSink{c} }
 
 // OnEvents warms from a batch of events.
 func (w warmSink) OnEvents(evs []vm.Event) {

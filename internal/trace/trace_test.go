@@ -33,7 +33,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := vm.MultiSink{w, vm.SinkFunc(func(e *vm.Event) { recorded = append(recorded, *e) })}
+	sink := vm.MultiSink{w, vm.BatchFunc(func(evs []vm.Event) { recorded = append(recorded, evs...) })}
 	m.Run(50_000, sink)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -10,17 +10,16 @@ import (
 
 // TestBatchSizeInvariance runs the same program per event-batch
 // capacity and requires architectural state, statistics, and delivered
-// event counts to be bit-identical to legacy per-event delivery.
+// event counts to be bit-identical to per-instruction delivery (a
+// one-event batch).
 func TestBatchSizeInvariance(t *testing.T) {
-	ref := New(Config{MemSpan: 64 << 20})
+	ref := New(Config{MemSpan: 64 << 20, EventBatch: 1})
 	ref.Load(fibProgram())
 	refSink := &CountingSink{}
-	// SinkFunc does not implement BatchSink: this is the per-event
-	// adapter path every batched run must match.
-	ref.RunToCompletion(0, SinkFunc(refSink.OnEvent))
+	ref.RunToCompletion(0, refSink)
 	refStats := ref.Stats()
 
-	for _, bs := range []int{1, 3, 64, 4096} {
+	for _, bs := range []int{0, 3, 64, 4096} {
 		m := New(Config{MemSpan: 64 << 20, EventBatch: bs})
 		m.Load(fibProgram())
 		sink := &CountingSink{}
@@ -43,9 +42,9 @@ func TestBatchSizeInvariance(t *testing.T) {
 // that never divides the program length evenly.
 func TestEventOrderPreserved(t *testing.T) {
 	var ref []Event
-	a := New(Config{MemSpan: 64 << 20})
+	a := New(Config{MemSpan: 64 << 20, EventBatch: 1})
 	a.Load(fibProgram())
-	a.RunToCompletion(0, SinkFunc(func(e *Event) { ref = append(ref, *e) }))
+	a.RunToCompletion(0, BatchFunc(func(evs []Event) { ref = append(ref, evs...) }))
 
 	var got []Event
 	b := New(Config{MemSpan: 64 << 20, EventBatch: 7})
@@ -72,7 +71,7 @@ func TestEventModeZeroAlloc(t *testing.T) {
 		b.I(isa.OpAddi, 1, 1, 1)
 		b.Br(isa.OpBeq, 0, 0, "loop") // infinite; Run budget bounds it
 	})
-	var sink Sink = BatchFunc(func([]Event) {})
+	var sink BatchSink = BatchFunc(func([]Event) {})
 	m.Run(10_000, sink) // warm up: translate, chain, allocate the batch
 	if avg := testing.AllocsPerRun(10, func() {
 		m.Run(50_000, sink)

@@ -3,7 +3,7 @@ package vm
 import "repro/internal/isa"
 
 // Event describes one retired guest instruction. Events are only
-// produced in event-generating mode (Run with a non-nil Sink); in fast
+// produced in event-generating mode (Run with a non-nil BatchSink); in fast
 // mode the VM executes the identical architectural state transitions
 // without materialising events, which is where its speed comes from.
 //
@@ -23,9 +23,12 @@ type Event struct {
 	Taken   bool // conditional branches: outcome
 }
 
-// Sink consumes the instruction event stream. Implementations include
-// the timing simulator front-end (full detail), the functional-warming
-// adaptor (caches and predictors only), and the BBV profiler.
+// Sink is the per-event half of BatchSink: Event delivery one
+// instruction at a time, for callers that replay a recorded stream
+// (trace.Reader.Replay) rather than run the VM. Implementations
+// include the timing simulator front-end (full detail), the
+// functional-warming adaptor (caches and predictors only), and the BBV
+// profiler.
 //
 // The event pointer is only valid for the duration of the call; sinks
 // must copy anything they keep.
@@ -33,20 +36,19 @@ type Sink interface {
 	OnEvent(ev *Event)
 }
 
-// BatchSink is the batched form of Sink: the VM buffers retired-
-// instruction events into a fixed-capacity batch inline in the
-// interpreter loop and delivers them in slices, amortising interface
-// dispatch and event copies across hundreds of instructions. A sink
-// passed to Machine.Run that implements BatchSink receives OnEvents
-// calls; a plain Sink is adapted to per-event delivery transparently.
+// BatchSink consumes the instruction event stream Machine.Run
+// produces: the VM buffers retired-instruction events into a
+// fixed-capacity batch inline in the interpreter loop and delivers them
+// in slices, amortising interface dispatch and event copies across
+// hundreds of instructions. Config.EventBatch 1 is true
+// per-instruction delivery.
 //
 // Delivery boundaries (the flush points) are: batch full, block exit to
 // a translation-cache lookup, immediately before a system call is
 // serviced (so timing-feedback state owned by the sink is caught up to
 // the instruction stream), guest halt, and Run return. Event order is
-// identical to per-event delivery, and results are bit-identical for
-// every batch capacity (internal/check's batch-invariance checker
-// enforces this).
+// identical for every batch capacity, and results are bit-identical
+// (internal/check's batch-invariance checker enforces this).
 //
 // The slice is only valid for the duration of the call and is reused
 // for the next batch; sinks must copy anything they keep.
@@ -54,24 +56,6 @@ type BatchSink interface {
 	Sink
 	OnEvents(evs []Event)
 }
-
-// perEventSink adapts a legacy per-event Sink to the batched delivery
-// path, preserving exact event order.
-type perEventSink struct{ s Sink }
-
-func (p perEventSink) OnEvent(ev *Event) { p.s.OnEvent(ev) }
-
-func (p perEventSink) OnEvents(evs []Event) {
-	for i := range evs {
-		p.s.OnEvent(&evs[i])
-	}
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(ev *Event)
-
-// OnEvent calls f(ev).
-func (f SinkFunc) OnEvent(ev *Event) { f(ev) }
 
 // BatchFunc adapts a function to the BatchSink interface.
 type BatchFunc func(evs []Event)
@@ -83,7 +67,7 @@ func (f BatchFunc) OnEvents(evs []Event) { f(evs) }
 func (f BatchFunc) OnEvent(ev *Event) { f([]Event{*ev}) }
 
 // MultiSink fans events out to several sinks in order.
-type MultiSink []Sink
+type MultiSink []BatchSink
 
 // OnEvent delivers ev to each sink.
 func (ms MultiSink) OnEvent(ev *Event) {
@@ -92,17 +76,10 @@ func (ms MultiSink) OnEvent(ev *Event) {
 	}
 }
 
-// OnEvents delivers the batch to each sink, batched where the sink
-// supports it.
+// OnEvents delivers the batch to each sink.
 func (ms MultiSink) OnEvents(evs []Event) {
 	for _, s := range ms {
-		if b, ok := s.(BatchSink); ok {
-			b.OnEvents(evs)
-		} else {
-			for i := range evs {
-				s.OnEvent(&evs[i])
-			}
-		}
+		s.OnEvents(evs)
 	}
 }
 

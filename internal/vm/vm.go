@@ -10,9 +10,9 @@
 //
 // The machine runs in two modes, selected per Run call:
 //
-//   - fast mode (nil Sink): no per-instruction observation; this is the
+//   - fast mode (nil sink): no per-instruction observation; this is the
 //     near-native-speed mode a VM normally runs in.
-//   - event mode (non-nil Sink): every retired instruction is delivered
+//   - event mode (non-nil BatchSink): every retired instruction is delivered
 //     to the sink (PC, class, memory address, branch outcome). This is
 //     the 10–20× slower mode required to feed a timing simulator, and
 //     the cost the paper's sampling schedule is designed to avoid.
@@ -897,9 +897,8 @@ func (m *Machine) LiveTraces() int {
 
 // Run executes up to n guest instructions, stopping early on HALT or
 // SysExit. If sink is non-nil the machine runs in event-generating mode
-// and delivers one Event per retired instruction — batched through
-// BatchSink.OnEvents when the sink supports it, adapted to per-event
-// calls otherwise. Run returns the number of instructions actually
+// and delivers one Event per retired instruction, batched through
+// sink.OnEvents. Run returns the number of instructions actually
 // executed; every buffered event has been delivered by the time it
 // returns.
 //
@@ -908,21 +907,17 @@ func (m *Machine) LiveTraces() int {
 // event batch capacity; only translation-cache and instruction-TLB
 // bookkeeping may differ across partitionings (resuming mid-block
 // forces a fresh translation, as in a real DBT).
-func (m *Machine) Run(n uint64, sink Sink) uint64 {
+func (m *Machine) Run(n uint64, sink BatchSink) uint64 {
 	if m.halted {
 		return 0
 	}
 	if sink == nil {
 		return m.run(n, nil)
 	}
-	bs, ok := sink.(BatchSink)
-	if !ok {
-		bs = perEventSink{sink}
-	}
 	if cap(m.batch) == 0 {
 		m.batch = make([]Event, 0, m.cfg.EventBatch)
 	}
-	return m.run(n, bs)
+	return m.run(n, sink)
 }
 
 // run is the interpreter hot loop shared by both modes: bs is nil in
@@ -1571,7 +1566,7 @@ dispatch:
 }
 
 // RunToCompletion executes until the guest halts, in chunks.
-func (m *Machine) RunToCompletion(chunk uint64, sink Sink) uint64 {
+func (m *Machine) RunToCompletion(chunk uint64, sink BatchSink) uint64 {
 	if chunk == 0 {
 		chunk = 1 << 20
 	}
